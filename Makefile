@@ -25,9 +25,11 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Core hot-path microbenchmarks (bitset vs retained []bool reference).
+# Hot-path microbenchmarks: core (bitset vs retained []bool reference) and
+# the pcm write path (per-write lock vs one lock per WriteLines batch).
 bench:
 	$(GO) test ./internal/core/ -run NONE -bench 'FindHole|Sweep|AllocTight' -benchtime 1s
+	$(GO) test ./internal/pcm/ -run NONE -bench 'DeviceWrite' -benchtime 1s
 
 # One iteration of every benchmark in the tree: catches benchmarks that no
 # longer compile or crash without paying for stable timings (CI smoke job).

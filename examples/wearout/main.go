@@ -29,14 +29,27 @@ func wearOut(policy wearmem.WearLeveling, target float64) (*wearmem.FailureMap, 
 	rng := rand.New(rand.NewSource(13))
 	hot := dev.Lines() / 4
 	buf := make([]byte, wearmem.LineSize)
+	batch := make([]int, 4096)
+	var pending []int // unconsumed tail of batch, carried across calls
 	writes := uint64(0)
 	for dev.FailureRate() < target {
-		l := rng.Intn(hot) // 90% of traffic hits a quarter of the module
-		if rng.Intn(10) == 0 {
-			l = rng.Intn(dev.Lines())
+		if len(pending) == 0 {
+			for i := range batch {
+				batch[i] = rng.Intn(hot) // 90% of traffic hits a quarter of the module
+				if rng.Intn(10) == 0 {
+					batch[i] = rng.Intn(dev.Lines())
+				}
+			}
+			pending = batch
 		}
-		dev.Write(l, buf)
-		writes++
+		// One device lock per run of writes: WriteLines returns right after
+		// a write fails, so the rate is checked at every change.
+		n, err := dev.WriteLines(pending, buf)
+		if err != nil {
+			n++ // a stalled write is dropped, not retried
+		}
+		pending = pending[n:]
+		writes += uint64(n)
 		for dev.BufferLen() > 0 {
 			dev.Drain()
 		}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/pcm"
@@ -574,12 +575,22 @@ func Tab2(o Options) *Report {
 	policies := []pcm.WearLeveling{pcm.StartGap, pcm.NoWearLeveling}
 	// Wearing a device to each target rate is itself expensive; precompute
 	// the worn templates once so the parallel planning pass (which runs the
-	// report body twice) does not wear every device a second time.
-	worn := make(map[pcm.WearLeveling]map[float64]*failmap.Map)
-	for _, wl := range policies {
-		worn[wl] = make(map[float64]*failmap.Map)
-		for _, f := range rates {
-			worn[wl][f] = wornFailureMap(wl, f, o.Seed)
+	// report body twice) does not wear every device a second time. Each
+	// policy is worn once, its maps snapshotted on the way to the top rate.
+	worn := make([][]*failmap.Map, len(policies))
+	if r.workers() > 1 {
+		var wg sync.WaitGroup
+		for i, wl := range policies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				worn[i] = wornFailureMaps(wl, rates, o.Seed)
+			}()
+		}
+		wg.Wait()
+	} else {
+		for i, wl := range policies {
+			worn[i] = wornFailureMaps(wl, rates, o.Seed)
 		}
 	}
 	return r.Collect(func() *Report {
@@ -600,14 +611,14 @@ func Tab2(o Options) *Report {
 			ideal = append(ideal, fnum(v))
 		}
 		t.Rows = append(t.Rows, ideal)
-		for _, wl := range policies {
+		for pi, wl := range policies {
 			label := "start-gap (practical leveling)"
 			if wl == pcm.NoWearLeveling {
 				label = "no leveling (concentrated)"
 			}
 			row := []Cell{Text(label)}
-			for _, f := range rates {
-				inject := worn[wl][f]
+			for fi, f := range rates {
+				inject := worn[pi][fi]
 				v := geoOver(r, o.benches(), func(b string) (RunConfig, RunConfig) {
 					return RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
 							FailureAware: true, FailureRate: f,
@@ -626,9 +637,16 @@ func Tab2(o Options) *Report {
 	})
 }
 
-// wornFailureMap produces a failure map by simulating skewed write traffic
-// on a PCM device until the target failure rate, under the given policy.
-func wornFailureMap(wl pcm.WearLeveling, target float64, seed int64) *failmap.Map {
+// wornBatch is how many traffic lines wornFailureMaps hands the device per
+// WriteLines call.
+const wornBatch = 4096
+
+// wornFailureMaps produces failure maps by simulating skewed write traffic
+// on a PCM device under the given policy, snapshotting the map as the
+// failure rate reaches each of the ascending target rates. The device and
+// its traffic do not depend on the target, so each map is the one a fresh
+// device worn to that rate alone would produce.
+func wornFailureMaps(wl pcm.WearLeveling, rates []float64, seed int64) []*failmap.Map {
 	// A small module with low endurance: the resulting failure *pattern*
 	// is what matters (the runner tiles the template across the pool), and
 	// reaching a 50% rate through skewed traffic on a realistic module
@@ -644,18 +662,39 @@ func wornFailureMap(wl pcm.WearLeveling, target float64, seed int64) *failmap.Ma
 	rng := rand.New(rand.NewSource(seed + 7))
 	hot := dev.Lines() / 4
 	buf := make([]byte, failmap.LineSize)
-	for dev.FailureRate() < target {
-		// 90% of writes hit the hot quarter of the module.
-		l := rng.Intn(hot)
-		if rng.Intn(10) == 0 {
-			l = rng.Intn(dev.Lines())
+	batch := make([]int, wornBatch)
+	var pending []int // unconsumed tail of batch, carried across calls
+	maps := make([]*failmap.Map, 0, len(rates))
+	for {
+		// The rate only moves on a write that fails, and WriteLines returns
+		// right after one, so checking between calls sees every crossing.
+		rate := dev.FailureRate()
+		for len(maps) < len(rates) && rate >= rates[len(maps)] {
+			maps = append(maps, dev.FailMap())
 		}
-		dev.Write(l, buf)
+		if len(maps) == len(rates) {
+			return maps
+		}
+		if len(pending) == 0 {
+			for i := range batch {
+				// 90% of writes hit the hot quarter of the module.
+				l := rng.Intn(hot)
+				if rng.Intn(10) == 0 {
+					l = rng.Intn(dev.Lines())
+				}
+				batch[i] = l
+			}
+			pending = batch
+		}
+		n, err := dev.WriteLines(pending, buf)
+		if err == pcm.ErrStalled {
+			n++ // a stalled write is dropped, not retried
+		}
+		pending = pending[n:]
 		for dev.BufferLen() > 0 {
 			dev.Drain()
 		}
 	}
-	return dev.FailMap()
 }
 
 // Tab3 quantifies the OS failure-table size (§3.2.1): raw bitmaps vs RLE.

@@ -355,9 +355,7 @@ func (d *Device) Unavailable(line int) bool {
 }
 
 func (d *Device) unavailableLocked(line int) bool {
-	if line < 0 || line >= d.lines {
-		panic(fmt.Sprintf("pcm: line %d out of range", line))
-	}
+	d.checkLine(line)
 	if d.array != nil {
 		return d.array.Unavailable(line)
 	}
@@ -372,6 +370,7 @@ func (d *Device) unavailableLocked(line int) bool {
 // location (§3.1.1); the check happens in parallel with the array access in
 // hardware, so it costs nothing extra in the model.
 func (d *Device) Read(line int, dst []byte) {
+	d.checkLine(line)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.clock != nil {
@@ -392,22 +391,69 @@ func (d *Device) Read(line int, dst []byte) {
 
 // Write stores data (LineSize bytes) to the module-visible line, applying
 // wear. If the line's storage exhausts its endurance, the write is parked
-// in the failure buffer, the failure interrupt fires and Write reports the
-// failure via errored==false (the write itself succeeds from software's
-// point of view: the data is retained and forwarded). Write returns
-// ErrStalled when the buffer watermark has been reached.
+// in the failure buffer, the failure interrupt fires and Write still
+// returns nil (the write itself succeeds from software's point of view:
+// the data is retained and forwarded). Write returns ErrStalled when the
+// buffer watermark has been reached.
 func (d *Device) Write(line int, data []byte) error {
-	if line < 0 || line >= d.lines {
-		panic(fmt.Sprintf("pcm: line %d out of range", line))
-	}
+	d.checkLine(line)
 	d.mu.Lock()
 	if d.stalled {
-		if d.clock != nil {
-			d.clock.Charge1(stats.EvFailBufStall)
-		}
+		d.chargeStall()
 		d.mu.Unlock()
 		return ErrStalled
 	}
+	d.writeLocked(line, data)
+	d.unlockAndInterrupt()
+	return nil
+}
+
+// WriteLines stores data to each of lines in order under one acquisition
+// of mu, with the per-write semantics of Write. It returns right after the
+// first write that pushed a failure-buffer entry, running the interrupt
+// callbacks after unlocking as Write does, so a caller sees failures,
+// drains and stalls at the same points as a loop of Write calls. n counts
+// the writes applied; err is ErrStalled when lines[n] met the watermark
+// and was not applied.
+func (d *Device) WriteLines(lines []int, data []byte) (n int, err error) {
+	d.mu.Lock()
+	for n < len(lines) {
+		line := lines[n]
+		if line < 0 || line >= d.lines {
+			d.mu.Unlock() // nothing is queued: the batch stops at a push
+			d.checkLine(line)
+		}
+		if d.stalled {
+			d.chargeStall()
+			d.mu.Unlock()
+			return n, ErrStalled
+		}
+		pushed := d.pushed
+		d.writeLocked(line, data)
+		n++
+		if d.pushed != pushed {
+			break
+		}
+	}
+	d.unlockAndInterrupt()
+	return n, nil
+}
+
+// checkLine panics on a module line outside the device.
+func (d *Device) checkLine(line int) {
+	if line < 0 || line >= d.lines {
+		panic(fmt.Sprintf("pcm: line %d out of range", line))
+	}
+}
+
+func (d *Device) chargeStall() {
+	if d.clock != nil {
+		d.clock.Charge1(stats.EvFailBufStall)
+	}
+}
+
+// writeLocked applies one accepted write under mu.
+func (d *Device) writeLocked(line int, data []byte) {
 	if d.clock != nil {
 		d.clock.Charge1(stats.EvPCMWrite)
 	}
@@ -422,20 +468,17 @@ func (d *Device) Write(line int, data []byte) error {
 	if failedNow {
 		d.reportFailure(line, data)
 	}
-	calls := d.takeCalls()
+}
+
+// unlockAndInterrupt releases mu, then runs the interrupt callbacks queued
+// while it was held.
+func (d *Device) unlockAndInterrupt() {
+	calls := d.calls
+	d.calls = nil
 	d.mu.Unlock()
 	for _, fn := range calls {
 		fn()
 	}
-	return nil
-}
-
-// takeCalls hands the queued interrupt callbacks to the caller, which must
-// invoke them after releasing mu.
-func (d *Device) takeCalls() []func() {
-	calls := d.calls
-	d.calls = nil
-	return calls
 }
 
 // wear applies one write's wear to storage slot s and reports whether the
@@ -602,11 +645,7 @@ func (d *Device) ForceFail(line int, data []byte) bool {
 		d.eccLeft[s] = 0
 	}
 	d.reportFailure(line, data)
-	calls := d.takeCalls()
-	d.mu.Unlock()
-	for _, fn := range calls {
-		fn()
-	}
+	d.unlockAndInterrupt()
 	return true
 }
 
@@ -667,8 +706,9 @@ func (d *Device) FailMap() *failmap.Map {
 	return m
 }
 
-// WriteCount returns the total writes absorbed by the storage slot backing
-// nothing in particular — it is indexed by storage slot, for wear studies.
+// WriteCount returns the total writes absorbed by storage slot `slot`
+// (diagnostic, for wear studies; slots differ from module lines under wear
+// leveling).
 func (d *Device) WriteCount(slot int) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -2,7 +2,9 @@ package pcm
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"wearmem/internal/failmap"
@@ -495,5 +497,43 @@ func TestStartGapRefailsSameLineWithDedup(t *testing.T) {
 	}
 	if invalidated == 0 {
 		t.Fatal("no entries were invalidated; dedup never exercised")
+	}
+}
+
+// mustPanicOutOfRange runs fn and fails unless it panics with the
+// device's out-of-range message.
+func mustPanicOutOfRange(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if s, _ := r.(string); !strings.Contains(s, "out of range") {
+			t.Errorf("%s: recovered %v, want an out-of-range panic", what, r)
+		}
+	}()
+	fn()
+}
+
+func TestLineRangeChecked(t *testing.T) {
+	for _, track := range []bool{false, true} {
+		clock := stats.NewClock(stats.DefaultCosts())
+		d := NewDevice(Config{Size: failmap.PageSize, TrackData: track}, clock)
+		buf := make([]byte, failmap.LineSize)
+		for _, l := range []int{-3, d.Lines(), d.Lines() + 5} {
+			mustPanicOutOfRange(t, fmt.Sprintf("Read(%d)", l), func() { d.Read(l, buf) })
+			mustPanicOutOfRange(t, fmt.Sprintf("Write(%d)", l), func() { d.Write(l, buf) })
+			mustPanicOutOfRange(t, fmt.Sprintf("Unavailable(%d)", l), func() { d.Unavailable(l) })
+		}
+		if n := clock.Count(stats.EvFailBufSearch); n != 0 {
+			t.Errorf("TrackData=%v: out-of-range reads charged %d buffer searches", track, n)
+		}
+		// A bad line mid-batch panics after the writes before it, and
+		// leaves the device usable.
+		mustPanicOutOfRange(t, "WriteLines", func() { d.WriteLines([]int{0, 1, d.Lines()}, lineData(7)) })
+		if n := clock.Count(stats.EvPCMWrite); n != 2 {
+			t.Errorf("TrackData=%v: %d writes applied before the bad line, want 2", track, n)
+		}
+		if n, err := d.WriteLines([]int{2}, buf); n != 1 || err != nil {
+			t.Errorf("TrackData=%v: WriteLines after the panic = %d, %v", track, n, err)
+		}
 	}
 }

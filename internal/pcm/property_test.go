@@ -1,11 +1,16 @@
 package pcm
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"wearmem/internal/failmap"
+	"wearmem/internal/probe"
+	"wearmem/internal/stats"
 )
 
 // Property: reads always return the most recent write, whether the data
@@ -134,4 +139,124 @@ func TestFailMapConsistencyProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// loggedDevice builds a device whose interrupt callbacks append to a log.
+// Its OnFailure handler drains one entry on every third interrupt, so it
+// re-enters the device while leaving the buffer to fill toward a stall.
+func loggedDevice(cfg Config) (*Device, *stats.Clock, *[]string) {
+	var log []string
+	cfg.Probe = func(p probe.Point, addr uint64) { log = append(log, fmt.Sprintf("probe %d %d", p, addr)) }
+	clock := stats.NewClock(stats.DefaultCosts())
+	d := NewDevice(cfg, clock)
+	interrupts := 0
+	d.OnFailure(func() {
+		interrupts++
+		log = append(log, "failure")
+		if interrupts%3 == 0 {
+			if rec, ok := d.Drain(); ok {
+				log = append(log, fmt.Sprintf("drained %d", rec.Line))
+			}
+		}
+	})
+	d.OnBufferFull(func() { log = append(log, "full") })
+	return d, clock, &log
+}
+
+// writeLoop is the reference for WriteLines: one Write per line, stopping
+// after the first write that pushes a failure-buffer entry or at a stall.
+func writeLoop(d *Device, lines []int, data []byte) (int, error) {
+	for n, l := range lines {
+		before, _, _ := d.BufferAccounting()
+		if err := d.Write(l, data); err != nil {
+			return n, err
+		}
+		if after, _, _ := d.BufferAccounting(); after != before {
+			return n + 1, nil
+		}
+	}
+	return len(lines), nil
+}
+
+// Property: WriteLines behaves exactly like writeLoop — the same n and
+// error, the same interrupt callbacks in the same order, the same clock
+// charges and the same durable image — under start-gap, clustering, ECC
+// and data tracking, with a buffer small enough to stall. (Start-gap is
+// not combined with clustering: a gap-move failure reports the start-gap
+// input line to the clustering hardware as if it were module-visible.)
+func TestWriteLinesMatchesWriteLoopProperty(t *testing.T) {
+	var failures, stalls, fullBatches int
+	f := func(seed int64, gap, clustered, ecc, track bool) bool {
+		cfg := Config{Size: 4 * failmap.PageSize, Endurance: 8, Variation: 0.3, Seed: seed,
+			BufferCap: 6, BufferReserve: 2, TrackData: track}
+		if gap {
+			cfg.WearLeveling, cfg.GapInterval = StartGap, 1
+		}
+		if clustered && !gap {
+			cfg.ClusterPages = 2
+		}
+		if ecc {
+			cfg.ECCEntries, cfg.ECCLease = 2, 3
+		}
+		batched, bClock, bLog := loggedDevice(cfg)
+		looped, lClock, lLog := loggedDevice(cfg)
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, failmap.LineSize)
+		for step := 0; step < 200; step++ {
+			var lines []int
+			for want := 1 + rng.Intn(48); len(lines) < want; {
+				// Software never writes lines the OS has retired.
+				if l := rng.Intn(batched.Lines()); !batched.Unavailable(l) {
+					lines = append(lines, l)
+				}
+			}
+			data[0] = byte(step)
+			n, err := batched.WriteLines(lines, data)
+			wn, werr := writeLoop(looped, lines, data)
+			if n != wn || err != werr {
+				t.Logf("step %d: WriteLines = %d, %v; Write loop = %d, %v", step, n, err, wn, werr)
+				return false
+			}
+			switch {
+			case err == ErrStalled:
+				stalls++
+			case n == len(lines):
+				fullBatches++
+			default:
+				failures++
+			}
+			if err == ErrStalled || rng.Intn(4) == 0 {
+				for _, d := range []*Device{batched, looped} {
+					for d.BufferLen() > 0 {
+						d.Drain()
+					}
+				}
+			}
+		}
+		if !reflect.DeepEqual(*bLog, *lLog) {
+			t.Logf("interrupt logs differ:\n%v\n%v", *bLog, *lLog)
+			return false
+		}
+		if !reflect.DeepEqual(bClock.Snapshot(), lClock.Snapshot()) {
+			t.Logf("clock charges differ")
+			return false
+		}
+		var bImg, lImg bytes.Buffer
+		if err := EncodeImage(&bImg, batched.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		if err := EncodeImage(&lImg, looped.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Equal(bImg.Bytes(), lImg.Bytes())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+	// The property is vacuous unless batches both ran to completion and
+	// stopped early at failures and stalls.
+	if failures == 0 || stalls == 0 || fullBatches == 0 {
+		t.Fatalf("coverage: %d failure returns, %d stalls, %d full batches", failures, stalls, fullBatches)
+	}
+	t.Logf("%d failure returns, %d stalls, %d full batches", failures, stalls, fullBatches)
 }
