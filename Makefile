@@ -25,11 +25,15 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Hot-path microbenchmarks: core (bitset vs retained []bool reference) and
-# the pcm write path (per-write lock vs one lock per WriteLines batch).
+# Hot-path microbenchmarks: core (bitset vs retained []bool reference),
+# the pcm write path (per-write lock vs one lock per WriteLines batch) and
+# tab2's wear-out (its traffic generator vs math/rand, and one whole
+# wear-out per policy).
 bench:
 	$(GO) test ./internal/core/ -run NONE -bench 'FindHole|Sweep|AllocTight' -benchtime 1s
 	$(GO) test ./internal/pcm/ -run NONE -bench 'DeviceWrite' -benchtime 1s
+	$(GO) test ./internal/harness/ -run NONE -bench 'WornTraffic' -benchtime 1s
+	$(GO) test ./internal/harness/ -run NONE -bench 'WornFailureMaps' -benchtime 3x
 
 # One iteration of every benchmark in the tree: catches benchmarks that no
 # longer compile or crash without paying for stable timings (CI smoke job).

@@ -83,6 +83,24 @@ func (a *Array) Translate(line int) int {
 	return idx*a.regionLines + r.Storage(off)
 }
 
+// Untranslate is the inverse of Translate: the module-visible line whose
+// accesses reach storage line s. It models no memory access and charges
+// nothing.
+func (a *Array) Untranslate(s int) int {
+	if a == nil {
+		return s
+	}
+	if s < 0 || s >= a.totalLines {
+		panic(fmt.Sprintf("cluster: line %d out of module range", s))
+	}
+	idx := s / a.regionLines
+	r := a.regions[idx]
+	if r == nil || !r.installed {
+		return s
+	}
+	return idx*a.regionLines + r.logical(s%a.regionLines)
+}
+
 // Fail records a permanent failure of the storage currently backing
 // module-visible line. It returns the module-visible lines that became
 // unavailable to software (metadata lines on first failure in the region,

@@ -89,6 +89,18 @@ func (r *Region) Storage(l int) int {
 	return r.toStorage[l]
 }
 
+// logical returns the logical line backed by storage offset s: the
+// inverse of Storage.
+func (r *Region) logical(s int) int {
+	r.check(s)
+	for l, st := range r.toStorage {
+		if st == s {
+			return l
+		}
+	}
+	panic("cluster: redirection map is not a permutation")
+}
+
 // Redirected reports whether logical line l is backed by a different
 // storage line — the per-line redirected bit kept in the error-correction
 // metadata (§3.1.2).

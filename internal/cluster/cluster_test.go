@@ -269,3 +269,28 @@ func TestTranslationSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: Untranslate inverts Translate on every line, through
+// redirected and untouched regions alike.
+func TestArrayUntranslateInvertsTranslate(t *testing.T) {
+	f := func(seed int64, n uint8) bool {
+		a := NewArray(8*failmap.PageSize, 2, 4, nil)
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < int(n)%120; i++ {
+			// Regions 0-2 take failures; region 3 stays uninstantiated.
+			if l := rng.Intn(3 * a.regionLines); !a.Unavailable(l) {
+				a.Fail(l)
+			}
+		}
+		for l := 0; l < a.totalLines; l++ {
+			if got := a.Untranslate(a.Translate(l)); got != l {
+				t.Logf("Untranslate(Translate(%d)) = %d", l, got)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -101,6 +101,7 @@ type Immix struct {
 	concIdle     int32
 	concWorkers  int
 	markDone     atomic.Bool
+	markAbort    atomic.Bool // a marker panicked; the others stop waiting for it
 	markers      []*markWorker
 	markerPanics []any
 	markWG       sync.WaitGroup

@@ -6,6 +6,7 @@ import (
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
+	"wearmem/internal/probe"
 	"wearmem/internal/stats"
 )
 
@@ -45,6 +46,8 @@ type envOpts struct {
 	marksweep    bool
 	headroom     int
 	traceWorkers int // 0 = serial trace
+	threaded     bool
+	probe        probe.Hook
 }
 
 func newEnv(t *testing.T, o envOpts) *testEnv {
@@ -63,6 +66,8 @@ func newEnv(t *testing.T, o envOpts) *testEnv {
 		FailureAware: o.failureAware,
 		Generational: o.generational,
 		TraceWorkers: o.traceWorkers,
+		Threaded:     o.threaded,
+		Probe:        o.probe,
 		HeadroomBlocks: func() int {
 			if o.headroom != 0 {
 				return o.headroom

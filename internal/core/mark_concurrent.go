@@ -117,6 +117,7 @@ func (ix *Immix) BeginConcurrentMark(roots *RootSet, workers int) bool {
 
 	ix.concIdle = 0
 	ix.concWorkers = workers
+	ix.markAbort.Store(false)
 	ix.markDone.Store(false)
 	ix.markers = ix.markers[:0]
 	ix.markerPanics = make([]any, workers)
@@ -126,7 +127,16 @@ func (ix *Immix) BeginConcurrentMark(roots *RootSet, workers int) bool {
 		ix.markWG.Add(1)
 		go func(i int) {
 			defer ix.markWG.Done()
-			defer func() { ix.markerPanics[i] = recover() }()
+			defer func() {
+				if p := recover(); p != nil {
+					// The panicked marker never goes idle: release its
+					// peers and have the next allocation point finalize,
+					// which re-panics.
+					ix.markerPanics[i] = p
+					ix.markAbort.Store(true)
+					ix.markDone.Store(true)
+				}
+			}()
 			ix.markerLoop(w)
 		}(i)
 	}
@@ -235,6 +245,9 @@ func (ix *Immix) markerLoop(w *markWorker) {
 		for {
 			if atomic.LoadInt32(&ix.concIdle) == n {
 				ix.markDone.Store(true)
+				return
+			}
+			if ix.markAbort.Load() {
 				return
 			}
 			if ix.concSize() > 0 {

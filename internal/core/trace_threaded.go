@@ -118,6 +118,10 @@ type thrTrace struct {
 	nursery bool
 	workers []*traceWorker
 	idle    int32
+	// abort is set when a worker panics. The panicked worker never goes
+	// idle and may hold a busy claim, so its peers stop waiting on it and
+	// exit; the coordinator re-panics after the join.
+	abort   atomic.Bool
 	probeMu sync.Mutex // probe hooks are not required to be thread-safe
 }
 
@@ -169,7 +173,12 @@ func (ix *Immix) traceThreaded(roots *RootSet, nursery bool, workers int) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer func() { panics[i] = recover() }()
+			defer func() {
+				if p := recover(); p != nil {
+					panics[i] = p
+					t.abort.Store(true)
+				}
+			}()
 			t.run(w, rootSlots, rescan, markOnly)
 		}(i)
 	}
@@ -247,7 +256,7 @@ func (t *thrTrace) drain(w *traceWorker) {
 		}
 		atomic.AddInt32(&t.idle, 1)
 		for {
-			if atomic.LoadInt32(&t.idle) == n {
+			if atomic.LoadInt32(&t.idle) == n || t.abort.Load() {
 				return
 			}
 			if t.victimHasWork(w) {
@@ -285,8 +294,16 @@ func (t *thrTrace) probe(kind probe.Point, addr uint64) {
 		return
 	}
 	t.probeMu.Lock()
+	defer t.probeMu.Unlock() // a panicking hook must not wedge the other workers
 	t.ix.probe(kind, addr)
-	t.probeMu.Unlock()
+}
+
+// quitIfAborted ends the calling worker goroutine once a peer has
+// panicked: a spin on that peer's busy claim would never end.
+func (t *thrTrace) quitIfAborted() {
+	if t.abort.Load() {
+		runtime.Goexit()
+	}
 }
 
 // scanObject visits the claimed object's reference slots, marking children
@@ -324,6 +341,7 @@ func (t *thrTrace) markObject(w *traceWorker, a heap.Addr) heap.Addr {
 		if heap.HeaderBusy(h) {
 			// Another worker is mid-evacuation; its result (a forwarding
 			// header or an in-place restamp) appears shortly.
+			t.quitIfAborted()
 			runtime.Gosched()
 			continue
 		}
@@ -519,9 +537,11 @@ func (ix *Immix) sweepThreaded(nursery bool, workers int) int {
 			for j := id; j < len(blocks); j += workers {
 				b := blocks[j]
 				if ix.probe != nil {
-					probeMu.Lock()
-					ix.probe(probe.GCSweepBlock, uint64(b.mem.Base))
-					probeMu.Unlock()
+					func() {
+						probeMu.Lock()
+						defer probeMu.Unlock() // a panicking hook must not wedge the other workers
+						ix.probe(probe.GCSweepBlock, uint64(b.mem.Base))
+					}()
 				}
 				sh.clock.Charge1(stats.EvBlockSweep)
 				sh.clock.Charge(stats.EvLineSweep, uint64(b.lines))

@@ -637,66 +637,6 @@ func Tab2(o Options) *Report {
 	})
 }
 
-// wornBatch is how many traffic lines wornFailureMaps hands the device per
-// WriteLines call.
-const wornBatch = 4096
-
-// wornFailureMaps produces failure maps by simulating skewed write traffic
-// on a PCM device under the given policy, snapshotting the map as the
-// failure rate reaches each of the ascending target rates. The device and
-// its traffic do not depend on the target, so each map is the one a fresh
-// device worn to that rate alone would produce.
-func wornFailureMaps(wl pcm.WearLeveling, rates []float64, seed int64) []*failmap.Map {
-	// A small module with low endurance: the resulting failure *pattern*
-	// is what matters (the runner tiles the template across the pool), and
-	// reaching a 50% rate through skewed traffic on a realistic module
-	// would take billions of simulated writes.
-	const pages = 512 // 2 MB template
-	// GapInterval 1 keeps the start-gap rotation fast relative to the
-	// endurance so leveling genuinely uniformizes wear before the target
-	// rate is reached (slow rotation would merely smear the hot band).
-	dev := pcm.NewDevice(pcm.Config{
-		Size: pages * failmap.PageSize, Endurance: 300, Variation: 0.15,
-		WearLeveling: wl, GapInterval: 1, Seed: seed,
-	}, nil)
-	rng := rand.New(rand.NewSource(seed + 7))
-	hot := dev.Lines() / 4
-	buf := make([]byte, failmap.LineSize)
-	batch := make([]int, wornBatch)
-	var pending []int // unconsumed tail of batch, carried across calls
-	maps := make([]*failmap.Map, 0, len(rates))
-	for {
-		// The rate only moves on a write that fails, and WriteLines returns
-		// right after one, so checking between calls sees every crossing.
-		rate := dev.FailureRate()
-		for len(maps) < len(rates) && rate >= rates[len(maps)] {
-			maps = append(maps, dev.FailMap())
-		}
-		if len(maps) == len(rates) {
-			return maps
-		}
-		if len(pending) == 0 {
-			for i := range batch {
-				// 90% of writes hit the hot quarter of the module.
-				l := rng.Intn(hot)
-				if rng.Intn(10) == 0 {
-					l = rng.Intn(dev.Lines())
-				}
-				batch[i] = l
-			}
-			pending = batch
-		}
-		n, err := dev.WriteLines(pending, buf)
-		if err == pcm.ErrStalled {
-			n++ // a stalled write is dropped, not retried
-		}
-		pending = pending[n:]
-		for dev.BufferLen() > 0 {
-			dev.Drain()
-		}
-	}
-}
-
 // Tab3 quantifies the OS failure-table size (§3.2.1): raw bitmaps vs RLE.
 func Tab3(o Options) *Report {
 	const pages = 16384 // 64 MB PCM pool

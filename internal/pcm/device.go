@@ -514,6 +514,14 @@ func (d *Device) CorrectedBits() uint64 {
 // reportFailure surfaces a failure of module line `line` through the
 // clustering hardware, parks the data in the failure buffer and interrupts.
 func (d *Device) reportFailure(line int, data []byte) {
+	if d.array != nil && d.array.Unavailable(line) {
+		// Software has already retired the line (a surfaced failure or
+		// clustering metadata) and its new failure has nothing left to
+		// surface. Its storage can still wear: writes to a metadata line
+		// land on healthy storage, and start-gap carries a failed line's
+		// contents onto fresh slots.
+		return
+	}
 	d.failedLines++
 	if d.array == nil {
 		d.pushBuffer(FailureRecord{Line: line, Data: dup(data)})
@@ -680,7 +688,9 @@ func (d *Device) wearStep() {
 			} else {
 				data = make([]byte, failmap.LineSize)
 			}
-			d.reportFailure(int(l), data)
+			// l is a start-gap input line; clustering hardware in front of
+			// start-gap knows the line by its module-visible address.
+			d.reportFailure(d.array.Untranslate(int(l)), data)
 		}
 	} else {
 		d.occupant[d.gap] = -1

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -534,6 +535,66 @@ func TestLineRangeChecked(t *testing.T) {
 		}
 		if n, err := d.WriteLines([]int{2}, buf); n != 1 || err != nil {
 			t.Errorf("TrackData=%v: WriteLines after the panic = %d, %v", track, n, err)
+		}
+	}
+}
+
+// Regression: skewed traffic on a clustered device, with and without
+// start-gap, panicked with "cluster: Fail on already-unavailable line"
+// (wearsim -startgap -cluster 2 -endurance 30, "hammer 200000"). Start-gap
+// reported a gap-move failure under its input line instead of the
+// module-visible line, and a retired line's storage wearing out again was
+// surfaced a second time.
+func TestClusteredHammerReportsModuleLines(t *testing.T) {
+	for _, wl := range []WearLeveling{StartGap, NoWearLeveling} {
+		d := NewDevice(Config{Size: 256 * failmap.PageSize, Endurance: 30, Variation: 0.2,
+			ClusterPages: 2, WearLeveling: wl, GapInterval: 16, TrackData: true, Seed: 1}, nil)
+		rng := rand.New(rand.NewSource(1))
+		hot := d.Lines() / 4
+		buf := make([]byte, failmap.LineSize)
+		drained := 0
+		broken := make([]bool, len(d.broken))
+		for i := 0; i < 200000; i++ {
+			l := rng.Intn(hot)
+			if rng.Intn(10) == 0 {
+				l = rng.Intn(d.Lines())
+			}
+			failed := d.FailedLines()
+			d.Write(l, buf)
+			if d.FailedLines() != failed {
+				// The module line behind each newly broken slot is retired.
+				for s, b := range d.broken {
+					if !b || broken[s] {
+						continue
+					}
+					broken[s] = true
+					in := s
+					if wl == StartGap {
+						in = int(d.occupant[s])
+					}
+					if m := d.array.Untranslate(in); !d.Unavailable(m) {
+						t.Fatalf("policy %d write %d: slot %d broke under line %d, which is still available",
+							wl, i, s, m)
+					}
+				}
+			}
+			for {
+				rec, ok := d.Drain()
+				if !ok {
+					break
+				}
+				drained++
+				if !d.Unavailable(rec.Line) {
+					t.Fatalf("policy %d: drained line %d is still available", wl, rec.Line)
+				}
+			}
+		}
+		if err := d.array.Validate(); err != nil {
+			t.Fatalf("policy %d: %v", wl, err)
+		}
+		if m := d.FailMap(); drained != m.FailedLines() || d.FailedLines() == 0 {
+			t.Fatalf("policy %d: drained %d records, map has %d unavailable lines, %d failures",
+				wl, drained, m.FailedLines(), d.FailedLines())
 		}
 	}
 }

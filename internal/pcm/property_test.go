@@ -181,9 +181,8 @@ func writeLoop(d *Device, lines []int, data []byte) (int, error) {
 // Property: WriteLines behaves exactly like writeLoop — the same n and
 // error, the same interrupt callbacks in the same order, the same clock
 // charges and the same durable image — under start-gap, clustering, ECC
-// and data tracking, with a buffer small enough to stall. (Start-gap is
-// not combined with clustering: a gap-move failure reports the start-gap
-// input line to the clustering hardware as if it were module-visible.)
+// and data tracking, alone or combined, with a buffer small enough to
+// stall.
 func TestWriteLinesMatchesWriteLoopProperty(t *testing.T) {
 	var failures, stalls, fullBatches int
 	f := func(seed int64, gap, clustered, ecc, track bool) bool {
@@ -192,7 +191,7 @@ func TestWriteLinesMatchesWriteLoopProperty(t *testing.T) {
 		if gap {
 			cfg.WearLeveling, cfg.GapInterval = StartGap, 1
 		}
-		if clustered && !gap {
+		if clustered {
 			cfg.ClusterPages = 2
 		}
 		if ecc {
